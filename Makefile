@@ -60,8 +60,12 @@ serve-smoke:
 	go run ./cmd/plbench -exp serve -smoke -maxwall 60s
 
 # Hot-path microbenches with allocation counts (BENCH_PR1.json records
-# the tracked numbers).
+# the tracked numbers): the propagate kernel (hoisted PageRank, per-edge
+# SSSP), the hashed and key-indexed combiners, the codec, metrics. Each
+# one's zero-allocation steady state is also pinned by a plain test
+# (TestPropagateIntoAllocFree, TestOutBufAllocFree, ...).
 bench:
+	go test -run xxx -bench 'BenchmarkPropagateInto' -benchmem ./internal/compiler/
 	go test -run xxx -bench 'BenchmarkOutBuf' -benchmem ./internal/runtime/
 	go test -run xxx -bench 'BenchmarkCodec' -benchmem ./internal/transport/
 	go test -run xxx -bench 'BenchmarkCounterInc|BenchmarkHistogramObserve' -benchmem ./internal/metrics/

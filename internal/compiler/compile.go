@@ -5,6 +5,7 @@ import (
 	"powerlog/internal/analyzer"
 	"powerlog/internal/ast"
 	"powerlog/internal/edb"
+	"powerlog/internal/expr"
 	"powerlog/internal/graph"
 )
 
@@ -305,11 +306,91 @@ func layoutSlots(rec *analyzer.RecInfo, shape *bodyShape) propLayout {
 	return lay
 }
 
-// buildPropagator compiles one propagation closure: apply f to a value
-// arriving at key and emit the per-edge contributions over g's
+// edgeInvariant reports whether e reads no per-edge slot — neither the
+// edge weight nor a destination attribute — so its value depends only
+// on the drained key. The test is on the variables e actually uses, not
+// on which slots the layout binds: an edge weight the join names but
+// F' ignores does not pin the evaluation to the edge.
+func (lay propLayout) edgeInvariant(e *expr.Expr) bool {
+	for _, v := range e.Vars() {
+		s := lay.slots[v]
+		if s == lay.weightSlot {
+			return false
+		}
+		for _, c := range lay.dstCols {
+			if s == c.slot {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// hoistEdgeInvariant enables the edge-invariant propagation kernel. It
+// is only ever cleared by tests, to obtain the generic per-edge
+// evaluation the hoisted kernel must match bit for bit.
+var hoistEdgeInvariant = true
+
+// propagator is a compiled propagation closure: apply F' (or F) to a
+// value arriving at key and emit the per-edge contributions.
+type propagator = func(vals []float64, key int64, value float64, emit func(int64, float64))
+
+// buildPropagator compiles e into a propagation closure over g's
 // out-edges. The delta path (delta.go) builds extra propagators over a
 // pre-mutation graph snapshot with the same layout.
-func buildPropagator(f func([]float64) float64, g *graph.Graph, lay propLayout, pair bool) func([]float64, int64, float64, func(int64, float64)) {
+//
+// When e is edge-invariant (PageRank's 0.85*rx/d reads only the
+// propagated value and a source column) it is evaluated once per call
+// and its value emitted to every target. The arithmetic is the same
+// expression on the same inputs, so the emitted values are bit-identical
+// to evaluating it per edge.
+func buildPropagator(e *expr.Expr, g *graph.Graph, lay propLayout, pair bool) (propagator, error) {
+	f, err := e.Compile(lay.slots)
+	if err != nil {
+		return nil, err
+	}
+	if hoistEdgeInvariant && lay.edgeInvariant(e) {
+		return hoistedPropagator(f, g, lay.srcCols, pair), nil
+	}
+	return perEdgePropagator(f, g, lay, pair), nil
+}
+
+// hoistedPropagator evaluates f once per drained key and emits the value
+// to every out-neighbor.
+func hoistedPropagator(f func([]float64) float64, g *graph.Graph, srcCols []colSlot, pair bool) propagator {
+	return func(vals []float64, key int64, value float64, emit func(int64, float64)) {
+		src := key
+		var hi int64
+		if pair {
+			hi, src = DecodePair(key)
+		}
+		if src < 0 || src >= int64(g.NumVertices()) {
+			return
+		}
+		targets, _ := g.Neighbors(int32(src))
+		if len(targets) == 0 {
+			return
+		}
+		vals[0] = value
+		for _, c := range srcCols {
+			vals[c.slot] = c.col[src]
+		}
+		v := f(vals)
+		if pair {
+			for _, t := range targets {
+				emit(EncodePair(hi, int64(t)), v)
+			}
+			return
+		}
+		for _, t := range targets {
+			emit(int64(t), v)
+		}
+	}
+}
+
+// perEdgePropagator is the generic kernel: it re-binds the per-edge
+// slots and evaluates f once per out-edge.
+func perEdgePropagator(f func([]float64) float64, g *graph.Graph, lay propLayout, pair bool) propagator {
 	weightSlot, srcCols, dstCols := lay.weightSlot, lay.srcCols, lay.dstCols
 	return func(vals []float64, key int64, value float64, emit func(int64, float64)) {
 		src := key
@@ -354,19 +435,15 @@ func compilePropagation(p *Plan, shape *bodyShape) error {
 		}
 	}
 
-	fDelta, err := rec.FPrime.Compile(lay.slots)
-	if err != nil {
+	var err error
+	if p.PropagateInto, err = buildPropagator(rec.FPrime, p.Graph, lay, p.PairKeys); err != nil {
 		return err
 	}
-	fFull, err := rec.F.Compile(lay.slots)
-	if err != nil {
+	if p.PropagateFullInto, err = buildPropagator(rec.F, p.Graph, lay, p.PairKeys); err != nil {
 		return err
 	}
-
 	nslots := lay.nslots
 	p.NewScratch = func() []float64 { return make([]float64, nslots) }
-	p.PropagateInto = buildPropagator(fDelta, p.Graph, lay, p.PairKeys)
-	p.PropagateFullInto = buildPropagator(fFull, p.Graph, lay, p.PairKeys)
 	// The convenience forms allocate scratch per call; the engine's scan
 	// passes hold per-goroutine scratch and use the Into forms.
 	p.Propagate = func(key int64, delta float64, emit func(int64, float64)) {

@@ -114,13 +114,12 @@ func (p *Plan) ApplyMutation(mut Mutation, rangeAcc AccRanger) (*Refixpoint, err
 	oldInit := p.InitMRA
 	selective := p.Op.Selective()
 	lay := layoutSlots(p.Info.Rec, shape)
-	var oldProp func([]float64, int64, float64, func(int64, float64))
+	var oldProp propagator
 	if !selective {
-		fd, err := p.Info.Rec.FPrime.Compile(lay.slots)
-		if err != nil {
+		var err error
+		if oldProp, err = buildPropagator(p.Info.Rec.FPrime, og, lay, p.PairKeys); err != nil {
 			return nil, err
 		}
-		oldProp = buildPropagator(fd, og, lay, p.PairKeys)
 	}
 
 	// 1. Mutate the base graph (and the transposed twin when the body is

@@ -152,8 +152,11 @@ func RunAsync(g *graph.Graph, p *Program, workers int) []float64 {
 	var stop int32
 	var idleCount int32
 	var resumeEpoch int64
-	var passes int64 // completed worker passes, so the ε check cannot
-	// mistake a scheduler stall for convergence
+	// passes[w] counts worker w's completed passes, so the ε check can
+	// wait for a pass from every worker — a total of `workers` passes can
+	// come from a few workers while the rest are descheduled — and cannot
+	// mistake a scheduler stall for convergence.
+	passes := make([]int64, workers)
 
 	rangeClean := func(w int) bool {
 		id := s.op.Identity()
@@ -198,7 +201,7 @@ func RunAsync(g *graph.Graph, p *Program, workers int) []float64 {
 						s.op.AtomicFold(&s.delta[dst], val)
 					})
 				}
-				atomic.AddInt64(&passes, 1)
+				atomic.AddInt64(&passes[w], 1)
 				if progressed {
 					continue
 				}
@@ -235,21 +238,38 @@ func RunAsync(g *graph.Graph, p *Program, workers int) []float64 {
 	// below ε (limit programs never strictly quiesce on their own).
 	if p.Epsilon > 0 {
 		go func() {
-			prev, prevPasses := -1.0, int64(0)
+			prev := -1.0
+			prevPasses := make([]int64, workers)
+			// everyPassed reports whether every worker completed at least
+			// one full pass since the window opened.
+			everyPassed := func() bool {
+				for w := range prevPasses {
+					if atomic.LoadInt64(&passes[w]) == prevPasses[w] {
+						return false
+					}
+				}
+				return true
+			}
+			openWindow := func() {
+				for w := range prevPasses {
+					prevPasses[w] = atomic.LoadInt64(&passes[w])
+				}
+			}
 			for i := 0; i < p.maxRounds(); i++ {
 				if atomic.LoadInt32(&stop) == 1 {
 					return
 				}
 				cur := agg.Load(&windowChange)
-				curPasses := atomic.LoadInt64(&passes)
-				// Require every worker to have completed at least one full
-				// pass in the window before judging the change against ε.
-				if prev >= 0 && curPasses-prevPasses >= int64(workers) && cur-prev < p.Epsilon {
+				full := everyPassed()
+				// Judge the change against ε only over a window in which
+				// every worker completed at least one full pass.
+				if prev >= 0 && full && cur-prev < p.Epsilon {
 					atomic.StoreInt32(&stop, 1)
 					return
 				}
-				if curPasses-prevPasses >= int64(workers) || prev < 0 {
-					prev, prevPasses = cur, curPasses
+				if full || prev < 0 {
+					prev = cur
+					openWindow()
 				}
 				time.Sleep(500 * time.Microsecond)
 			}

@@ -109,6 +109,7 @@ type Table interface {
 // of a dense vertex key space across `stride` workers.
 type Dense struct {
 	op             *agg.Op
+	n              int64 // the global key space [0, n)
 	stride, offset int64
 	acc            []uint64
 	inter          []uint64
@@ -127,6 +128,7 @@ func NewDense(op *agg.Op, n int, stride, offset int64) *Dense {
 	}
 	d := &Dense{
 		op:     op,
+		n:      int64(n),
 		stride: stride,
 		offset: offset,
 		acc:    make([]uint64, size),
@@ -141,6 +143,15 @@ func NewDense(op *agg.Op, n int, stride, offset int64) *Dense {
 }
 
 func (d *Dense) slot(key int64) int { return int((key - d.offset) / d.stride) }
+
+// Owns reports whether key belongs to this shard: a global key in
+// [0, n) congruent to offset modulo stride. Every other key would index
+// outside the shard's arrays (or alias another worker's row), so callers
+// folding keys from outside the process check them first. Vertex keys
+// are int32, so the residue is taken in 32 bits.
+func (d *Dense) Owns(key int64) bool {
+	return uint64(key) < uint64(d.n) && uint32(key)%uint32(d.stride) == uint32(d.offset)
+}
 
 // globalKey maps a local slot back to its global key.
 func (d *Dense) globalKey(slot int) int64 { return d.offset + int64(slot)*d.stride }

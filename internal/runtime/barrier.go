@@ -132,7 +132,7 @@ func (w *worker) broadcastEndPhase(round int) {
 // lost — the worker retransmits its own marker so a peer blocked on THIS
 // worker's lost marker unblocks, announces its round, and unblocks us.
 func (w *worker) awaitPeerRounds(round int) {
-	for w.minPeerSteps() < round && !w.stopped && !w.sendDead.Load() {
+	for w.minPeerSteps() < round && !w.stopped && !w.dead.Load() {
 		select {
 		case m, ok := <-w.conn.Inbox():
 			if !ok {
@@ -162,7 +162,7 @@ func (w *worker) awaitVerdict() bool {
 			}
 			w.handle(m)
 		case <-time.After(markerResend):
-			if w.sendDead.Load() {
+			if w.dead.Load() {
 				return false
 			}
 			if w.rounds > 0 {

@@ -41,7 +41,7 @@ func (w *worker) maybeSnapshot() {
 	// Fold data until every peer's mark for this epoch arrives. Per-pair
 	// FIFO means everything folded here was sent before the sender's
 	// mark — pre-cut traffic that belongs in the snapshot.
-	for !w.stopped && !w.sendDead.Load() && w.minSnapMarks() < e {
+	for !w.stopped && !w.dead.Load() && w.minSnapMarks() < e {
 		m, ok := <-w.conn.Inbox()
 		if !ok {
 			w.stopped = true
@@ -54,7 +54,7 @@ func (w *worker) maybeSnapshot() {
 	}
 	_ = w.snapshot(e, true) // best-effort: a failed shard write must not kill the run
 	w.enqueue(w.master, transport.Message{Kind: transport.SnapDone, Round: e})
-	for !w.stopped && !w.sendDead.Load() && w.resumeEpoch < e {
+	for !w.stopped && !w.dead.Load() && w.resumeEpoch < e {
 		m, ok := <-w.conn.Inbox()
 		if !ok {
 			w.stopped = true

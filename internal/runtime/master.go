@@ -41,15 +41,12 @@ type master struct {
 	// is the session epoch being computed (1 = initial fixpoint); parked
 	// reports whether the last run() ended in a successful park. gRound
 	// counts master rounds cumulatively across epochs, so injected
-	// CrashRound faults keep one global timeline; passBase is the global
-	// pass watermark at the last park, the per-epoch baseline for the
-	// async iteration cap; episodes numbers snapshot episodes
-	// monotonically across epochs.
+	// CrashRound faults keep one global timeline; episodes numbers
+	// snapshot episodes monotonically across epochs.
 	park     bool
 	epoch    int
 	parked   bool
 	gRound   int
-	passBase int64
 	episodes int
 
 	// Membership state (membership.go, DESIGN.md §11). live marks the
@@ -476,17 +473,18 @@ func (m *master) runAsync() {
 				candArmed = false
 			}
 		}
-		// The system-level iteration cap counts effective iterations
-		// (average compute passes per worker), not master check rounds,
-		// so the cap has the same meaning as a superstep limit. passBase
-		// rebases the watermark at each session park so every epoch gets
-		// the full budget (workers' pass counters run on across epochs).
-		if (passes-m.passBase)/int64(m.activeCount()) >= int64(m.plan.Termination.MaxIters) || time.Now().After(deadline) {
+		// The system-level iteration cap counts this epoch's termination-
+		// check rounds (TermSpec.MaxIters), the async family's analogue
+		// of a superstep. Worker compute passes are no measure of
+		// progress here: a pass drains whatever the last few inbox
+		// batches dirtied, so how many a fixpoint takes scales with how
+		// fast the propagate kernel runs against how slowly stats cross
+		// the network, not with the work left to do.
+		if m.rounds >= m.plan.Termination.MaxIters || time.Now().After(deadline) {
 			stop = true
 		}
 		if stop {
 			if m.park && m.converged {
-				m.passBase = passes
 				m.parkFleet(deadline)
 			} else {
 				m.bcast(transport.Message{Kind: transport.Stop})

@@ -301,7 +301,7 @@ func (w *worker) runJoinFence(e int) {
 	cohort := w.fenceCohort(admit)
 	w.flushAll()
 	w.broadcastJoinMark(e, 1, cohort)
-	for !w.stopped && !w.sendDead.Load() && w.minJoinMarks(cohort, w.joinMarks) < e {
+	for !w.stopped && !w.dead.Load() && w.minJoinMarks(cohort, w.joinMarks) < e {
 		select {
 		case m, ok := <-w.conn.Inbox():
 			if !ok {
@@ -314,13 +314,13 @@ func (w *worker) runJoinFence(e int) {
 			w.broadcastJoinMark(e, 1, cohort)
 		}
 	}
-	if w.stopped || w.sendDead.Load() {
+	if w.stopped || w.dead.Load() {
 		return
 	}
 	w.applyMembership(admit)
 	w.repairState(rollback)
 	w.broadcastJoinMark(e, 2, cohort)
-	for !w.stopped && !w.sendDead.Load() && w.minJoinMarks(cohort, w.joinMarks2) < e {
+	for !w.stopped && !w.dead.Load() && w.minJoinMarks(cohort, w.joinMarks2) < e {
 		select {
 		case m, ok := <-w.conn.Inbox():
 			if !ok {
@@ -333,7 +333,7 @@ func (w *worker) runJoinFence(e int) {
 			w.broadcastJoinMark(e, 2, cohort)
 		}
 	}
-	if w.stopped || w.sendDead.Load() {
+	if w.stopped || w.dead.Load() {
 		return
 	}
 	// The cut is doubly quiescent: every pre-fence delta and every
@@ -343,7 +343,7 @@ func (w *worker) runJoinFence(e int) {
 	// Σsent == Σrecv test an exact fresh baseline.
 	w.sent, w.recv, w.flushes = 0, 0, 0
 	w.enqueue(w.master, transport.Message{Kind: transport.Join, Round: e})
-	for !w.stopped && !w.sendDead.Load() && w.releaseEpoch < e {
+	for !w.stopped && !w.dead.Load() && w.releaseEpoch < e {
 		select {
 		case m, ok := <-w.conn.Inbox():
 			if !ok {
@@ -358,7 +358,7 @@ func (w *worker) runJoinFence(e int) {
 			w.broadcastJoinMark(e, 2, cohort)
 		}
 	}
-	if w.stopped || w.sendDead.Load() {
+	if w.stopped || w.dead.Load() {
 		return
 	}
 	w.finishFence(e, admit)
@@ -616,7 +616,7 @@ func (w *worker) resetLink(j, e int) {
 // point its table, route, and link state are consistent with the fleet
 // and the normal compute loop may start.
 func (w *worker) awaitAdmission() {
-	for !w.stopped && !w.sendDead.Load() && w.joinDone == 0 {
+	for !w.stopped && !w.dead.Load() && w.joinDone == 0 {
 		if w.joinReqEpoch > w.joinDone {
 			w.runJoinFence(w.joinReqEpoch)
 			continue

@@ -97,8 +97,8 @@ func RunWorker(plan *compiler.Plan, cfg Config, conn transport.Conn) (map[int64]
 		}
 	}
 	w.run()
-	if w.sendErr != nil {
-		return nil, fmt.Errorf("runtime: worker %d send failed: %w", w.id, w.sendErr)
+	if err := w.err(); err != nil {
+		return nil, err
 	}
 	local := map[int64]float64{}
 	w.table.Range(func(k int64, v float64) bool {

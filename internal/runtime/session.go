@@ -265,11 +265,11 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 	}
 
 	s := &Session{
-		cfg:     cfg,
-		plan:    plan,
-		net:     net,
-		workers: workers,
-		log:     &edb.MutationLog{},
+		cfg:      cfg,
+		plan:     plan,
+		net:      net,
+		workers:  workers,
+		log:      &edb.MutationLog{},
 		engEpoch: 1,
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -514,8 +514,10 @@ func (s *Session) finishEpoch(start time.Time) (*Result, error) {
 		s.wg.Wait()
 		s.setFleetDown()
 		for _, w := range s.workers {
-			if w != nil && w.sendErr != nil {
-				return nil, fmt.Errorf("runtime: worker %d send failed: %w", w.id, w.sendErr)
+			if w != nil {
+				if err := w.err(); err != nil {
+					return nil, err
+				}
 			}
 		}
 		if s.m.err != nil {
@@ -672,8 +674,14 @@ func (s *Session) startSpawned(w *worker) {
 // ok=false falls back to the abort path: combining with no usable cut
 // after mutations (the seed is no longer the true initial state), or any
 // combining loss after a scale event (checkpoint shards are only
-// restorable under the ownership ring they were written with).
+// restorable under the ownership ring they were written with), and a
+// worker that went silent because it refused a hostile frame — its
+// FrameError must reach the caller, not be papered over by a
+// replacement fed from the same link.
 func (s *Session) respawnWorker(id int) (int64, bool) {
+	if old := s.workers[id]; old != nil && old.frameErr.Load() != nil {
+		return 0, false
+	}
 	rollback := int64(0)
 	var warm []ckpt.Row
 	if !s.plan.Op.Selective() {
@@ -868,8 +876,8 @@ func (s *Session) teardown() {
 // for a busy-free window, callers re-claiming the session in a loop (a
 // serving front end under load) could starve it indefinitely.
 // Concurrent Closes wait for the first to complete. Close returns the
-// first transport failure seen during shutdown, if any; the session's
-// sticky epoch error is reported by Apply/Err, not here.
+// first worker failure — a dead send path or a refused frame — if any;
+// the session's sticky epoch error is reported by Apply/Err, not here.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -891,8 +899,10 @@ func (s *Session) Close() error {
 	s.mu.Unlock()
 	s.teardown()
 	for _, w := range s.workers {
-		if w != nil && w.sendErr != nil {
-			return fmt.Errorf("runtime: worker %d send failed: %w", w.id, w.sendErr)
+		if w != nil {
+			if err := w.err(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -154,7 +154,7 @@ func (b *sspBarrier) awaitPeerSteps(w *worker, need int) {
 	// A parked peer stops advancing its superstep clock, so the gate must
 	// also yield to a pending Park — the park handshake (not the gate) is
 	// the epoch's final synchronisation point.
-	for !w.stopped && !w.sendDead.Load() && !w.parkPending() && w.minPeerSteps() < need {
+	for !w.stopped && !w.dead.Load() && !w.parkPending() && w.minPeerSteps() < need {
 		if start.IsZero() {
 			start = time.Now()
 		}

@@ -219,12 +219,9 @@ func newScanPool(w *worker, p, minKeys int) *scanPool {
 			w:         w,
 			pool:      sp,
 			idx:       i,
-			bufs:      make([]*outBuf, w.nw),
+			bufs:      newOutBufs(w.plan.Op, w.nw, w.denseN()),
 			winCounts: make([]int64, w.nw),
 			scratch:   w.plan.NewScratch(),
-		}
-		for j := range c.bufs {
-			c.bufs[j] = newOutBuf(w.plan.Op)
 		}
 		c.scanFn = func(k int64) { c.keys = append(c.keys, k) }
 		c.emitFn = c.emit

@@ -260,7 +260,9 @@ func standaloneWorker(t *testing.T, plan *compiler.Plan, cfg Config) *worker {
 // fold, propagate, merge — must not allocate. Per-core key/drain
 // slices, outBufs, and the pre-bound closures are all reused; the two
 // warm-up calls spawn the pool goroutines, and the buffers of every
-// core are then grown to full-shard capacity by hand: AllocsPerRun
+// core — scan slices and the combiners' key/value arrays (their shared
+// key-index is sized at construction) — are then grown to full-shard
+// capacity by hand: AllocsPerRun
 // pins GOMAXPROCS to 1 while it measures, and at one proc the owner
 // core usually steals the whole deal before the parked cores wake, so
 // warm-up alone leaves cores 1..P-1 cold — a measured run where one of
@@ -297,6 +299,12 @@ func TestParallelScanAllocFree(t *testing.T) {
 		}
 		if cap(c.drainBuf) < int(n) {
 			c.drainBuf = make([]drained, 0, n)
+		}
+		for _, b := range c.bufs {
+			if cap(b.keys) < int(n) {
+				b.keys = make([]int64, 0, n)
+				b.vals = make([]float64, 0, n)
+			}
 		}
 	}
 	if allocs := testing.AllocsPerRun(5, body); allocs != 0 {

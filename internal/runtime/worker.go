@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	stdruntime "runtime"
 	"sync/atomic"
 	"time"
@@ -115,12 +116,17 @@ type worker struct {
 	mutEpoch  int
 
 	// sendErr records the first unrecoverable transport failure seen by
-	// the comm goroutine; sendDead flags it for the compute loop, which
-	// stops instead of computing into a dead network. Run/RunWorker
-	// surface the error after the worker exits (reading sendErr is safe
-	// then: commDone closes after the final write).
+	// the comm goroutine; frameErr records a hostile Data frame the
+	// compute goroutine refused to fold (a key outside this shard). Either
+	// sets dead, which stops the compute loop instead of computing into a
+	// dead network or a corrupted shard, and makes the comm loop discard
+	// what is still queued. Run/RunWorker surface the error after the
+	// worker exits (reading sendErr is safe then: commDone closes after
+	// the final write); frameErr is atomic because the session's respawn
+	// path reads it while deciding whether a silent slot may be replaced.
 	sendErr  error
-	sendDead atomic.Bool
+	frameErr atomic.Pointer[FrameError]
+	dead     atomic.Bool
 
 	stragglerWait time.Duration // SSP: total time blocked on stale peers
 
@@ -199,7 +205,6 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 		outCtrl:  make(chan outMsg, 64),
 		commDone: make(chan struct{}),
 
-		bufs:      make([]*outBuf, fleet),
 		lastFlush: make([]time.Time, fleet),
 		peerSteps: make([]int, fleet),
 		snapMarks: make([]int, fleet),
@@ -212,13 +217,13 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 			counts: make([]int64, fleet),
 		},
 
-		master:    transport.MasterID(fleet),
-		route:     newShardRoute(cfg),
-		down:      make([]bool, fleet),
-		leaving:   make([]bool, fleet),
+		master:     transport.MasterID(fleet),
+		route:      newShardRoute(cfg),
+		down:       make([]bool, fleet),
+		leaving:    make([]bool, fleet),
 		joinMarks:  make([]int, fleet),
 		joinMarks2: make([]int, fleet),
-		joinAdmit: -1,
+		joinAdmit:  -1,
 	}
 	w.met = newWorkerMetrics(fleet)
 	w.pol = policiesFor(cfg, plan, id, w.met.reg)
@@ -231,9 +236,9 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 	w.table = w.newTable()
 	w.apply = w.table
 	w.scratch = plan.NewScratch()
+	w.bufs = newOutBufs(plan.Op, fleet, w.denseN())
 	now := time.Now()
-	for j := range w.bufs {
-		w.bufs[j] = newOutBuf(plan.Op)
+	for j := range w.lastFlush {
 		w.lastFlush[j] = now
 	}
 	if cfg.CoresPerWorker > 1 && cfg.Mode.MRA() {
@@ -244,13 +249,22 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 }
 
 func (w *worker) newTable() monotable.Table {
-	// Dense tables stride keys by the static modulo partition; an elastic
-	// fleet's consistent-hash ownership has no such structure, so it
-	// always shards into Sparse tables.
-	if w.plan.PairKeys || w.cfg.Elastic {
+	if w.denseN() == 0 {
 		return monotable.NewSparse(w.plan.Op)
 	}
 	return monotable.NewDense(w.plan.Op, w.plan.N, int64(w.nw), int64(w.id))
+}
+
+// denseN is the size of the fixed vertex key space [0, N) when the
+// worker shards into a Dense table, and 0 otherwise. Dense tables stride
+// keys by the static modulo partition; an elastic fleet's
+// consistent-hash ownership has no such structure, and pair keys are
+// not a dense range, so both shard into Sparse tables.
+func (w *worker) denseN() int {
+	if w.plan.PairKeys || w.cfg.Elastic {
+		return 0
+	}
+	return w.plan.N
 }
 
 func (w *worker) owner(key int64) int { return w.route.owner(key) }
@@ -276,7 +290,7 @@ func (w *worker) commLoop() {
 	// depends on them, so a persistent failure there is discarded without
 	// poisoning a run that already finished.
 	deliver := func(om outMsg, bestEffort bool) {
-		if w.sendDead.Load() {
+		if w.dead.Load() {
 			if om.m.Kind == transport.Data {
 				transport.PutBatch(om.m.KVs)
 			}
@@ -293,7 +307,7 @@ func (w *worker) commLoop() {
 			if attempt >= sendAttempts {
 				if !bestEffort {
 					w.sendErr = err
-					w.sendDead.Store(true)
+					w.dead.Store(true)
 				}
 				if om.m.Kind == transport.Data {
 					transport.PutBatch(om.m.KVs)
@@ -462,6 +476,10 @@ func (d *dedupWindow) fresh(seq int64) bool {
 func (w *worker) handle(m transport.Message) {
 	switch m.Kind {
 	case transport.Data:
+		if !w.ownsBatch(m) {
+			transport.PutBatch(m.KVs)
+			return
+		}
 		// Round carries the sender's per-link sequence number (stamped in
 		// flush); the dedup window decides whether this is the sequence's
 		// first delivery.
@@ -584,6 +602,54 @@ func (w *worker) handle(m transport.Message) {
 		// Worker→master kinds; a worker receiving one (misrouted frame,
 		// chaos injection) ignores it rather than corrupting local state.
 	}
+}
+
+// FrameError reports a Data frame that carried a key outside the
+// receiving worker's Dense shard: negative, at or beyond the vertex
+// count N, or owned by another worker. Folding it would index outside
+// the shard, so the worker refuses the whole batch and stops; Run,
+// Session.Apply/Close and RunWorker return the error.
+type FrameError struct {
+	Worker int   // the receiving worker
+	From   int   // the sender named on the frame
+	Key    int64 // the first foreign key in the batch
+	N      int   // the vertex key space [0, N)
+}
+
+func (e *FrameError) Error() string {
+	return fmt.Sprintf("runtime: worker %d got a data frame from %d carrying key %d outside its shard of [0,%d)",
+		e.Worker, e.From, e.Key, e.N)
+}
+
+// ownsBatch checks a Data batch against the Dense shard it is about to
+// fold into, once per batch before any of it folds. A foreign key marks
+// the worker dead with a FrameError. Sparse shards (pair keys, elastic
+// fleets) accept any key.
+func (w *worker) ownsBatch(m transport.Message) bool {
+	d, ok := w.apply.(*monotable.Dense)
+	if !ok {
+		return true
+	}
+	for _, kv := range m.KVs {
+		if !d.Owns(kv.K) {
+			w.frameErr.CompareAndSwap(nil, &FrameError{Worker: w.id, From: m.From, Key: kv.K, N: w.plan.N})
+			w.dead.Store(true)
+			return false
+		}
+	}
+	return true
+}
+
+// err is the failure the worker stopped on, if any: a dead send path or
+// a refused frame. Only valid once the worker has exited.
+func (w *worker) err() error {
+	if w.sendErr != nil {
+		return fmt.Errorf("runtime: worker %d send failed: %w", w.id, w.sendErr)
+	}
+	if fe := w.frameErr.Load(); fe != nil {
+		return fe
+	}
+	return nil
 }
 
 // accResyncFolds is how many FoldAcc signed deltas the running accSum
@@ -786,14 +852,14 @@ func (w *worker) run() {
 		// Releases — at which point table, route, and link state are
 		// consistent with the fleet.
 		w.awaitAdmission()
-		if w.stopped || w.sendDead.Load() {
+		if w.stopped || w.dead.Load() {
 			return
 		}
 	}
 	w.pol.barrier.setup(w)
 	for {
 		w.runFixpoint()
-		if w.stopped || w.sendDead.Load() || !w.parkPending() {
+		if w.stopped || w.dead.Load() || !w.parkPending() {
 			return
 		}
 		if !w.parkAndAwait() {
@@ -806,7 +872,7 @@ func (w *worker) run() {
 // returns when the worker is stopped, its send path died, or the master
 // parked the fleet (session epoch boundary).
 func (w *worker) runFixpoint() {
-	for !w.stopped && !w.sendDead.Load() && !w.parkPending() {
+	for !w.stopped && !w.dead.Load() && !w.parkPending() {
 		progressed := w.pol.barrier.beginPass(w)
 		if w.stopped {
 			return
@@ -860,7 +926,7 @@ func (w *worker) parkAndAwait() bool {
 	e := w.curEpoch
 	w.flushAll()
 	w.broadcastParkMark(e)
-	for !w.stopped && !w.sendDead.Load() && w.minParkMarks() < e {
+	for !w.stopped && !w.dead.Load() && w.minParkMarks() < e {
 		select {
 		case m, ok := <-w.conn.Inbox():
 			if !ok {
@@ -875,11 +941,11 @@ func (w *worker) parkAndAwait() bool {
 			w.broadcastParkMark(e)
 		}
 	}
-	if w.stopped || w.sendDead.Load() {
+	if w.stopped || w.dead.Load() {
 		return false
 	}
 	w.enqueue(w.master, transport.Message{Kind: transport.ParkDone, Round: e})
-	for !w.stopped && !w.sendDead.Load() && w.epochGo <= e {
+	for !w.stopped && !w.dead.Load() && w.epochGo <= e {
 		select {
 		case m, ok := <-w.conn.Inbox():
 			if !ok {
@@ -900,7 +966,7 @@ func (w *worker) parkAndAwait() bool {
 			w.broadcastParkMark(e)
 		}
 	}
-	if w.stopped || w.sendDead.Load() {
+	if w.stopped || w.dead.Load() {
 		return false
 	}
 	w.curEpoch = e + 1
@@ -1053,18 +1119,27 @@ func (w *worker) idleWait() {
 }
 
 // outBuf is a per-destination buffer that folds same-key updates with
-// the program's aggregate, in arrival order of first touch. It is an
-// open-addressed flat combiner: a power-of-two slot table of indexes
-// into dense key/value arrays, linear probing, no tombstones (keys are
-// never removed individually — a drain resets the whole table). The
-// dense arrays and the slot table are reused across flushes and the
-// drain target comes from the transport batch pool, so the steady-state
-// fill→drain cycle allocates nothing.
+// the program's aggregate, in arrival order of first touch. The dense
+// key/value arrays hold the batch; an index maps a key to its entry.
+// On a Dense key space (vertex keys fixed in [0, plan.N) at Open) the
+// index is a direct position array, pos[key] — one []int32 of length N
+// shared by every destination buffer of a scan state, which is sound
+// because each key has exactly one owner and so lives in at most one of
+// them. Pair-key and elastic fleets use an open-addressed flat
+// combiner instead: a power-of-two slot table of indexes, linear
+// probing, no tombstones (keys are never removed individually — a drain
+// resets the whole table). Either index is reset in place by a drain
+// (the position array only at the touched keys), the arrays are reused
+// across flushes, and the drain target comes from the transport batch
+// pool, so the steady-state fill→drain cycle allocates nothing.
 type outBuf struct {
-	op    *agg.Op
-	keys  []int64   // first-touch order
-	vals  []float64 // parallel to keys
-	slots []int32   // hash table: index+1 into keys, 0 = empty
+	op   *agg.Op
+	keys []int64   // first-touch order
+	vals []float64 // parallel to keys
+
+	// Exactly one index is set: pos (key-indexed) or slots/mask (hashed).
+	pos   []int32 // pos[key]: index+1 into keys, 0 = absent; shared
+	slots []int32 // hash table: index+1 into keys, 0 = empty
 	mask  uint64
 }
 
@@ -1080,6 +1155,26 @@ func newOutBuf(op *agg.Op) *outBuf {
 	}
 }
 
+// newOutBufs builds one combiner per destination for a scan state (the
+// worker's own, or one subshard core's). On a Dense key space they
+// share a single key-indexed position array: 4 bytes per vertex per
+// scan state, not per destination.
+func newOutBufs(op *agg.Op, dests int, denseN int) []*outBuf {
+	bufs := make([]*outBuf, dests)
+	var pos []int32
+	if denseN > 0 {
+		pos = make([]int32, denseN)
+	}
+	for j := range bufs {
+		if pos != nil {
+			bufs[j] = &outBuf{op: op, pos: pos}
+		} else {
+			bufs[j] = newOutBuf(op)
+		}
+	}
+	return bufs
+}
+
 // hashKey mixes the key bits (Fibonacci multiplier + xor-fold) so dense
 // vertex ids and src<<32|dst pair keys both spread across the table.
 func hashKey(k int64) uint64 {
@@ -1087,8 +1182,20 @@ func hashKey(k int64) uint64 {
 	return x ^ (x >> 32)
 }
 
-// add folds v into the buffered update for key.
+// add folds v into the buffered update for key. On the key-indexed path
+// key must lie in [0, N): every caller emits propagation targets, which
+// are vertices of the compiled graph.
 func (b *outBuf) add(key int64, v float64) {
+	if b.pos != nil {
+		if idx := b.pos[key]; idx != 0 {
+			b.vals[idx-1] = b.op.Fold(b.vals[idx-1], v)
+			return
+		}
+		b.keys = append(b.keys, key)
+		b.vals = append(b.vals, v)
+		b.pos[key] = int32(len(b.keys))
+		return
+	}
 	h := hashKey(key) & b.mask
 	for {
 		idx := b.slots[h]
@@ -1126,6 +1233,20 @@ func (b *outBuf) grow() {
 
 func (b *outBuf) len() int { return len(b.keys) }
 
+// reset empties the buffer in place: the key-indexed path clears only
+// the positions this batch touched, the hashed path its whole table.
+func (b *outBuf) reset() {
+	if b.pos != nil {
+		for _, k := range b.keys {
+			b.pos[k] = 0
+		}
+	} else {
+		clear(b.slots)
+	}
+	b.keys = b.keys[:0]
+	b.vals = b.vals[:0]
+}
+
 // take drains the buffer into a pooled KV batch (first-touch order).
 // Ownership of the batch passes to the caller, who hands it to Send
 // under the transport recycle contract.
@@ -1137,9 +1258,7 @@ func (b *outBuf) take() []transport.KV {
 	for i, k := range b.keys {
 		kvs = append(kvs, transport.KV{K: k, V: b.vals[i]})
 	}
-	b.keys = b.keys[:0]
-	b.vals = b.vals[:0]
-	clear(b.slots)
+	b.reset()
 	return kvs
 }
 
@@ -1151,7 +1270,5 @@ func (b *outBuf) drainInto(f func(key int64, v float64)) {
 	for i, k := range b.keys {
 		f(k, b.vals[i])
 	}
-	b.keys = b.keys[:0]
-	b.vals = b.vals[:0]
-	clear(b.slots)
+	b.reset()
 }

@@ -263,6 +263,11 @@ func NewTCPEndpoint(id, workers int, addrs []string) (*TCPEndpoint, error) {
 	return transport.NewTCPEndpoint(id, workers, addrs)
 }
 
+// FrameError is the error Run, a Session and RunWorker return when a
+// worker refused a Data frame carrying a key outside its shard (a
+// corrupt or foreign frame on the transport); match it with errors.As.
+type FrameError = runtime.FrameError
+
 // RunWorker participates as one worker of a distributed run over an
 // external transport (each process compiles the same plan from the same
 // deterministic data) and returns the local shard of the result.

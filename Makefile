@@ -5,10 +5,10 @@
 # injection, the lock-free metrics core, and the PR 7 incremental-EDB
 # and generator packages (edb, gen), where a recycle-contract violation
 # would surface as a data race; -cpu 1,4 runs each test at
-# both parallelism levels so the intra-worker subshard scan pool
-# (DESIGN.md §9) is raced with real preemption even on small CI boxes;
-# it runs -short, which trims
-# the chaos matrix (internal/runtime/chaos_test.go) to its
+# both parallelism levels so each worker's compute and comm-loop
+# goroutines, the session's callers and the server's handlers race
+# under real preemption even on small CI boxes; it runs -short, which
+# trims the chaos matrix (internal/runtime/chaos_test.go) to its
 # representative algorithm subset — the full matrix runs race-free under
 # `make test`. `make lint` runs the repo-local static analyzers of
 # internal/lint (cmd/plvet): recycle, atomicmix, lockblock, shadow,

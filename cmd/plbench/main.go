@@ -19,9 +19,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment id: table1, table2, fig1, fig9, fig10, fig11, ablation, ssp, recovery, rejoin, policymetrics, cores, churn, serve, or all")
+	exp := flag.String("exp", "", "experiment id: table1, table2, fig1, fig9, fig10, fig11, ablation, ssp, recovery, rejoin, policymetrics, churn, serve, or all")
 	workers := flag.Int("workers", 4, "worker shards per engine run")
-	cores := flag.Int("cores", 0, "per-worker scan parallelism (0 = min(GOMAXPROCS, 8); 1 = serial pass)")
 	maxWall := flag.Duration("maxwall", 5*time.Minute, "per-run wall-clock cap")
 	staleness := flag.Int("staleness", 0, "MRA+SSP superstep bound (0 = runtime default)")
 	faults := flag.String("faults", "", `fault-injection spec applied to every run, e.g. "seed=42,sendfail=0.1,stall=5:300us"`)
@@ -32,7 +31,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "usage: plbench -exp {%v|all}\n", bench.Experiments)
 		os.Exit(2)
 	}
-	cfg := bench.RunConfig{Workers: *workers, Cores: *cores, MaxWall: *maxWall, Staleness: *staleness, Faults: *faults, Smoke: *smoke}
+	cfg := bench.RunConfig{Workers: *workers, MaxWall: *maxWall, Staleness: *staleness, Faults: *faults, Smoke: *smoke}
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = bench.Experiments

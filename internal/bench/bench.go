@@ -170,11 +170,6 @@ type RunConfig struct {
 	// Staleness is the MRASSP superstep bound (0 = runtime default).
 	Staleness int
 
-	// Cores is the per-worker scan parallelism (runtime
-	// Config.CoresPerWorker): 0 = runtime default (min(GOMAXPROCS, 8)),
-	// 1 = the exact serial pass. The cores experiment sweeps it.
-	Cores int
-
 	// Faults is a fault-injection spec (fault.ParseSpec syntax, e.g.
 	// "seed=42,sendfail=0.1,stall=5:300us") applied to every engine run;
 	// empty disables injection. The recovery experiment sets it per run.
@@ -248,7 +243,6 @@ func (c RunConfig) engineConfig(mode runtime.Mode) (runtime.Config, error) {
 		PriorityThreshold: c.PriorityThreshold,
 		OrderedScan:       c.OrderedScan,
 		Staleness:         c.Staleness,
-		CoresPerWorker:    c.Cores,
 		SnapshotDir:       c.SnapshotDir,
 		SnapshotEvery:     c.SnapshotEvery,
 		RestoreDir:        c.RestoreDir,

@@ -18,7 +18,7 @@ import (
 // paper figure: it sweeps this implementation's own design knobs
 // (DESIGN.md §5) — the delta-stepping-style ordered scan and the §5.4
 // priority threshold.
-var Experiments = []string{"table1", "table2", "fig1", "fig9", "fig10", "fig11", "ablation", "ssp", "extra", "recovery", "rejoin", "policymetrics", "cores", "churn", "serve"}
+var Experiments = []string{"table1", "table2", "fig1", "fig9", "fig10", "fig11", "ablation", "ssp", "extra", "recovery", "rejoin", "policymetrics", "churn", "serve"}
 
 // RunExperiment dispatches by experiment id and writes the rows to w.
 func RunExperiment(id string, w io.Writer, cfg RunConfig) error {
@@ -56,9 +56,6 @@ func RunExperiment(id string, w io.Writer, cfg RunConfig) error {
 		return err
 	case "policymetrics":
 		_, err := PolicyMetrics(w, cfg)
-		return err
-	case "cores":
-		_, err := Cores(w, cfg)
 		return err
 	case "churn":
 		_, err := Churn(w, cfg)

@@ -103,6 +103,9 @@ func Write(w io.Writer, meta Meta, rows []Row) error {
 	return err
 }
 
+// rowPrealloc caps the rows Read preallocates from a header's count.
+const rowPrealloc = 1 << 16
+
 // Read deserialises rows and the Meta header, verifying the CRC.
 func Read(r io.Reader) ([]Row, Meta, error) {
 	var meta Meta
@@ -145,7 +148,10 @@ func Read(r io.Reader) ([]Row, Meta, error) {
 	if n > 1<<40 {
 		return nil, meta, fmt.Errorf("ckpt: implausible row count %d", n)
 	}
-	rows := make([]Row, 0, n)
+	// The count is not trusted for allocation until the rows behind it
+	// have been read: preallocate at most rowPrealloc and grow as rows
+	// arrive, so a forged count fails as a truncated file, not an OOM.
+	rows := make([]Row, 0, min(n, rowPrealloc))
 	for i := uint64(0); i < n; i++ {
 		k, err := get()
 		if err != nil {

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -81,6 +82,23 @@ func TestReadDetectsCorruption(t *testing.T) {
 	bad[0] = 'X'
 	if _, _, err := Read(bytes.NewReader(bad)); err == nil {
 		t.Error("bad magic should fail")
+	}
+}
+
+// TestReadHugeRowCount: a 53-byte file — magic, five meta words and a
+// row count of 2^38 with no rows behind it — passes the plausibility
+// guard. Preallocating that count killed the process with an
+// unrecoverable out-of-memory error before the checksum was read; it
+// must fail as a truncated file instead.
+func TestReadHugeRowCount(t *testing.T) {
+	data := []byte(magic)
+	data = append(data, make([]byte, 5*8)...)
+	data = binary.LittleEndian.AppendUint64(data, 1<<38)
+	if len(data) != 53 {
+		t.Fatalf("header is %d bytes, want 53", len(data))
+	}
+	if _, _, err := Read(bytes.NewReader(data)); err == nil {
+		t.Fatal("a 2^38 row count with no rows should fail")
 	}
 }
 

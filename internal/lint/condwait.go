@@ -5,9 +5,10 @@ import (
 	"go/types"
 )
 
-// condwaitAnalyzer enforces sync.Cond discipline. The subshard scan
-// pool (internal/runtime/subshard.go) parks idle workers on a shared
-// Cond, which makes two classic mistakes live hazards in this tree:
+// condwaitAnalyzer enforces sync.Cond discipline. runtime.Session
+// (internal/runtime/session.go) parks Close on a shared Cond until the
+// in-flight operation ends, which makes two classic mistakes live
+// hazards in this tree:
 //
 //  1. A Cond used by value. sync.Cond must be constructed with
 //     sync.NewCond so its Locker is set; a zero-value Cond (var
@@ -25,7 +26,7 @@ import (
 //     caller must re-check in a for loop ("for !cond { c.Wait() }").
 //     An if-guarded or bare Wait is a lost-wakeup / spurious-wakeup
 //     bug that surfaces as a rare hang, exactly the class of failure
-//     the park/resume protocol cannot debug after the fact.
+//     a drain wait cannot debug after the fact.
 //
 // Signal and Broadcast carry no such constraints and are never
 // flagged here (lockblock covers what locks are held around them).

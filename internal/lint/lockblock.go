@@ -34,7 +34,7 @@ import (
 //     RLock/Lock mix on one key) is a self-deadlock — sync mutexes are
 //     not reentrant, and recursive RLock deadlocks the moment a writer
 //     queues between the two acquisitions.
-//   - sync.Cond Wait (the subshard pool's idle-parking path) must run
+//   - sync.Cond Wait (the session's Close drain wait) must run
 //     with exactly one lock held: zero means its Locker is unlocked
 //     and Wait panics; more than one means Wait releases only its own
 //     locker and sleeps with the rest held — a blocking op under a

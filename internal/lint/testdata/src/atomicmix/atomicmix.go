@@ -71,11 +71,11 @@ func (m *metricsClean) report() (uint64, float64) {
 	return m.events.Load(), m.level.Load()
 }
 
-// subshard mirrors the intra-worker scan pool's shapes (runtime
-// subshard.go): the table's acc/inter/dirty words are shared between
-// scan cores and must go through the atomic wrappers, while each core's
-// private pass counters are owner-merged after the join and are
-// legitimately plain.
+// subshard mirrors the shapes of a parallel scan pool (the engine's
+// was removed, DESIGN.md §9): the table's acc/inter/dirty words are
+// shared between scan cores and must go through the atomic wrappers,
+// while each core's private pass counters are owner-merged after the
+// join and are legitimately plain.
 type subshard struct {
 	acc   []uint64 // shared rows: atomic wrappers only
 	dirty []uint32 // shared bitmap words: atomic only

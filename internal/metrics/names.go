@@ -33,10 +33,10 @@ var WellKnownNames = []string{
 	"recv.batch",
 	"recv.dup.batch",
 
-	// Subshard scan pool (DESIGN.md §9).
+	// Removed intra-worker scan pool (DESIGN.md §9): still registered,
+	// always 0, because perfbench/fixpoint.go reads them.
 	"scan.steal",
 	"scan.parallel.pass",
-	"scan.subshard.pass_us",
 
 	// Master termination controller and session lifecycle (§10).
 	"master.round",

@@ -15,7 +15,6 @@ func fromBits(b uint64) float64           { return math.Float64frombits(b) }
 func swapWord(p *uint32, v uint32) uint32 { return atomic.SwapUint32(p, v) }
 func loadWord(p *uint32) uint32           { return atomic.LoadUint32(p) }
 func trailingZeros32(v uint32) int        { return bits.TrailingZeros32(v) }
-func onesCount32(v uint32) int            { return bits.OnesCount32(v) }
 
 func markDirty(dirty []uint32, slot int) {
 	w, b := slot/32, uint32(1)<<(slot%32)

@@ -7,133 +7,11 @@ import (
 	"powerlog/internal/agg"
 )
 
-// These tests pin the subshard contract ScanDirtyRange adds for
-// intra-worker parallelism (DESIGN.md §9): over a fixed nsub the
-// subshards partition the dirty set exactly, distinct subshards may be
-// scanned concurrently with folds racing in, and the Dense range-scan
-// hot path stays allocation-free.
-
-// dirtyKeys marks every key in ks dirty by folding v and returns the
-// expected set. Callers re-dirtying the same keys must pass a strictly
-// better v each time: a fold that doesn't change the intermediate (a
-// repeated Min value, say) doesn't re-mark the row.
-func dirtyKeys(tb Table, ks []int64, v float64) map[int64]bool {
-	want := make(map[int64]bool, len(ks))
-	for _, k := range ks {
-		tb.FoldDelta(k, v)
-		want[k] = true
-	}
-	return want
-}
-
-func collectRange(tb Table, sub, nsub int) []int64 {
-	var got []int64
-	tb.ScanDirtyRange(sub, nsub, func(k int64) { got = append(got, k) })
-	return got
-}
-
-// TestScanDirtyRangePartition: for several nsub values, the union of
-// all subshard scans is exactly the dirty set with no key seen twice,
-// on both layouts and on a strided Dense shard.
-func TestScanDirtyRangePartition(t *testing.T) {
-	// Key choices: every 3rd owned key for dense (honouring stride and
-	// offset for the strided shard), arbitrary spread-out keys for sparse.
-	var denseKeys, stridedKeys, sparseKeys []int64
-	for i := int64(0); i < 4000; i += 3 {
-		denseKeys = append(denseKeys, i)
-	}
-	for i := int64(1); i < 4000; i += 4 * 3 {
-		stridedKeys = append(stridedKeys, i)
-	}
-	for i := int64(0); i < 2000; i++ {
-		sparseKeys = append(sparseKeys, i*2654435761%100000)
-	}
-	cases := []struct {
-		name string
-		make func() Table
-		keys []int64
-	}{
-		{"dense", func() Table { return NewDense(agg.ByKind(agg.Sum), 4000, 1, 0) }, denseKeys},
-		{"dense-strided", func() Table { return NewDense(agg.ByKind(agg.Sum), 4000, 4, 1) }, stridedKeys},
-		{"sparse", func() Table { return NewSparse(agg.ByKind(agg.Min)) }, sparseKeys},
-	}
-
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			tb := tc.make()
-			for round, want := range []int{1, 2, 3, 5, 8, 64} {
-				expect := dirtyKeys(tb, tc.keys, float64(100-round))
-				nsub := tb.Subshards(want)
-				if nsub < 1 || nsub > want {
-					t.Fatalf("Subshards(%d) = %d, outside [1, %d]", want, nsub, want)
-				}
-				seen := make(map[int64]int)
-				for sub := 0; sub < nsub; sub++ {
-					for _, k := range collectRange(tb, sub, nsub) {
-						seen[k]++
-					}
-				}
-				for k, n := range seen {
-					if n != 1 {
-						t.Fatalf("nsub=%d: key %d scanned %d times", nsub, k, n)
-					}
-					if !expect[k] {
-						t.Fatalf("nsub=%d: key %d scanned but never dirtied", nsub, k)
-					}
-				}
-				if len(seen) != len(expect) {
-					t.Fatalf("nsub=%d: scanned %d keys, want %d", nsub, len(seen), len(expect))
-				}
-				if tb.HasDirty() {
-					t.Fatalf("nsub=%d: dirty keys left after scanning every subshard", nsub)
-				}
-			}
-		})
-	}
-}
-
-// TestScanDirtyRangeDegenerate: ScanDirtyRange(0, 1) is ScanDirty.
-func TestScanDirtyRangeDegenerate(t *testing.T) {
-	for _, tb := range []Table{NewDense(agg.ByKind(agg.Sum), 100, 1, 0), NewSparse(agg.ByKind(agg.Sum))} {
-		want := dirtyKeys(tb, []int64{1, 7, 42, 99}, 1)
-		got := collectRange(tb, 0, 1)
-		if len(got) != len(want) {
-			t.Fatalf("ScanDirtyRange(0,1) saw %d keys, want %d", len(got), len(want))
-		}
-		for _, k := range got {
-			if !want[k] {
-				t.Fatalf("ScanDirtyRange(0,1) saw unexpected key %d", k)
-			}
-		}
-	}
-}
-
-func TestDirtyApprox(t *testing.T) {
-	for name, tb := range map[string]Table{
-		"dense":  NewDense(agg.ByKind(agg.Sum), 1000, 1, 0),
-		"sparse": NewSparse(agg.ByKind(agg.Sum)),
-	} {
-		if got := tb.DirtyApprox(); got != 0 {
-			t.Fatalf("%s: DirtyApprox on empty table = %d", name, got)
-		}
-		for i := int64(0); i < 300; i++ {
-			tb.FoldDelta(i, 1)
-		}
-		// Quiescent, so the estimate is exact.
-		if got := tb.DirtyApprox(); got != 300 {
-			t.Fatalf("%s: DirtyApprox = %d, want 300", name, got)
-		}
-		tb.ScanDirty(func(k int64) { tb.Drain(k) })
-		if got := tb.DirtyApprox(); got != 0 {
-			t.Fatalf("%s: DirtyApprox after drain = %d", name, got)
-		}
-	}
-}
-
-// TestConcurrentFoldScanRange is the -race hammer: writers FoldDelta
-// into the table while scanner goroutines drain disjoint subshards and
-// fold into accumulations, with a reader polling Acc and DirtyApprox.
-// For a sum aggregate every folded unit must survive somewhere:
+// TestConcurrentFoldScanRange is the -race hammer over the whole dirty
+// range: writers FoldDelta into the table while a scanner drains the
+// dirty set with ScanDirty and folds into accumulations, with a reader
+// polling Acc (session lookups read Acc wait-free while the worker
+// folds). For a sum aggregate every folded unit must survive somewhere:
 // Σacc + Σinter == total folds at quiescence.
 func TestConcurrentFoldScanRange(t *testing.T) {
 	const (
@@ -162,33 +40,29 @@ func TestConcurrentFoldScanRange(t *testing.T) {
 				}(g)
 			}
 
-			nsub := tb.Subshards(4)
-			var scanners sync.WaitGroup
-			for sub := 0; sub < nsub; sub++ {
-				scanners.Add(1)
-				go func(sub int) {
-					defer scanners.Done()
-					scan := func() {
-						tb.ScanDirtyRange(sub, nsub, func(k int64) {
-							if v, ok := tb.Drain(k); ok {
-								tb.FoldAcc(k, v)
-							}
-						})
+			scan := func() {
+				tb.ScanDirty(func(k int64) {
+					if v, ok := tb.Drain(k); ok {
+						tb.FoldAcc(k, v)
 					}
-					for {
-						select {
-						case <-done:
-							scan() // final sweep after writers stop
-							return
-						default:
-							scan()
-						}
-					}
-				}(sub)
+				})
 			}
+			var scanner sync.WaitGroup
+			scanner.Add(1)
+			go func() {
+				defer scanner.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+						scan()
+					}
+				}
+			}()
 
-			// Concurrent readers: Acc and DirtyApprox must be safe against
-			// racing folds and scans.
+			// Concurrent reader: Acc must be safe against racing folds
+			// and scans.
 			var readers sync.WaitGroup
 			readers.Add(1)
 			go func() {
@@ -201,23 +75,18 @@ func TestConcurrentFoldScanRange(t *testing.T) {
 						for k := int64(0); k < nkeys; k += 37 {
 							tb.Acc(k)
 						}
-						tb.DirtyApprox()
 					}
 				}
 			}()
 
 			wg.Wait()
 			close(done)
-			scanners.Wait()
+			scanner.Wait()
 			readers.Wait()
 
-			// Mop up rows whose dirty mark raced past the final sweeps,
-			// then check conservation.
-			tb.ScanDirty(func(k int64) {
-				if v, ok := tb.Drain(k); ok {
-					tb.FoldAcc(k, v)
-				}
-			})
+			// Mop up rows dirtied after the scanner's last sweep, then
+			// check conservation.
+			scan()
 			total := 0.0
 			tb.RangeRows(func(_ int64, acc, inter float64) bool {
 				total += acc + inter
@@ -230,45 +99,24 @@ func TestConcurrentFoldScanRange(t *testing.T) {
 	}
 }
 
-// TestDenseScanRangeAllocFree pins the per-core scan hot path: a
-// steady-state FoldDelta + ScanDirtyRange cycle over every subshard of
-// a Dense shard allocates nothing.
+// TestDenseScanRangeAllocFree pins the scan hot path: a steady-state
+// FoldDelta + ScanDirty cycle over a Dense shard's whole range
+// allocates nothing.
 func TestDenseScanRangeAllocFree(t *testing.T) {
 	d := NewDense(agg.ByKind(agg.Sum), 4096, 1, 0)
-	nsub := d.Subshards(8)
-	if nsub < 2 {
-		t.Fatalf("Subshards(8) = %d on a 4096-slot shard, want >= 2", nsub)
-	}
 	sink := int64(0)
 	scanFn := func(k int64) { sink += k }
 	body := func() {
 		for k := int64(0); k < 4096; k += 5 {
 			d.FoldDelta(k, 1)
 		}
-		for sub := 0; sub < nsub; sub++ {
-			d.ScanDirtyRange(sub, nsub, scanFn)
-		}
+		d.ScanDirty(scanFn)
 	}
 	body() // warm
 	if allocs := testing.AllocsPerRun(10, body); allocs != 0 {
-		t.Fatalf("Dense FoldDelta+ScanDirtyRange cycle allocates %v/run, want 0", allocs)
+		t.Fatalf("Dense FoldDelta+ScanDirty cycle allocates %v/run, want 0", allocs)
 	}
-	_ = sink
-}
-
-// TestSubshardsStability: the subshard count for a given want is stable
-// (the pass deal depends on it) and ranges for different nsub values
-// still partition — no stale-nsub aliasing.
-func TestSubshardsStability(t *testing.T) {
-	d := NewDense(agg.ByKind(agg.Sum), 100000, 1, 0)
-	for _, want := range []int{1, 2, 4, 16, 32} {
-		a, b := d.Subshards(want), d.Subshards(want)
-		if a != b {
-			t.Fatalf("Subshards(%d) unstable: %d then %d", want, a, b)
-		}
-	}
-	s := NewSparse(agg.ByKind(agg.Sum))
-	if got := s.Subshards(1 << 20); got > sparseStripes {
-		t.Fatalf("sparse Subshards(1<<20) = %d, want <= %d stripes", got, sparseStripes)
+	if sink == 0 {
+		t.Fatal("scan saw no dirty keys")
 	}
 }

@@ -57,28 +57,6 @@ type Table interface {
 	// made dirty again during the scan are observed by a later scan.
 	ScanDirty(f func(key int64))
 
-	// Subshards reports how many disjoint scan ranges the shard supports
-	// for a caller that wants up to `want` of them (intra-worker
-	// parallelism). The result is in [1, want]; ranges are cache-line
-	// granular for Dense and stripe granular for Sparse, so a small shard
-	// may support fewer ranges than asked for.
-	Subshards(want int) int
-
-	// ScanDirtyRange drains the dirty keys of subshard sub of nsub,
-	// invoking f for each. The nsub subshards partition the shard: over a
-	// fixed nsub every dirty key belongs to exactly one subshard, and
-	// ScanDirtyRange(0, 1) is ScanDirty. Scans of DISTINCT subshards may
-	// run concurrently (the dirty tracking is per-subshard words for
-	// Dense, per-stripe sets for Sparse — no shared cache lines); the
-	// same subshard must not be scanned by two goroutines at once.
-	ScanDirtyRange(sub, nsub int, f func(key int64))
-
-	// DirtyApprox estimates the size of the dirty set without draining
-	// it — a scheduling hint (is a parallel pass worth its fan-out?), not
-	// a linearizable count: concurrent folds may be missed or double
-	// counted.
-	DirtyApprox() int
-
 	// HasDirty reports whether any row is marked dirty.
 	HasDirty() bool
 
@@ -187,21 +165,9 @@ func (d *Dense) FoldAcc(key int64, v float64) (bool, float64, float64) {
 	return foldAccCell(d.op, &d.acc[d.slot(key)], v)
 }
 
-// dirtyWordsPerLine groups the dirty bitmap into 64-byte cache lines
-// (16 × uint32 = 512 slots). Subshard boundaries fall only on line
-// boundaries, so two goroutines scanning different subshards never CAS
-// or swap words on the same cache line — the mark-dirty bitmap stays
-// per-subshard and ping-pong free.
-const dirtyWordsPerLine = 16
-
-// dirtyLines is the number of cache-line groups in the bitmap.
-func (d *Dense) dirtyLines() int {
-	return (len(d.dirty) + dirtyWordsPerLine - 1) / dirtyWordsPerLine
-}
-
-// scanWords drains the dirty words in [lo, hi), invoking f per set bit.
-func (d *Dense) scanWords(lo, hi int, f func(key int64)) {
-	for w := lo; w < hi; w++ {
+// ScanDirty implements Table.
+func (d *Dense) ScanDirty(f func(key int64)) {
+	for w := range d.dirty {
 		bits := swapWord(&d.dirty[w], 0)
 		for bits != 0 {
 			b := bits & (-bits)
@@ -213,47 +179,6 @@ func (d *Dense) scanWords(lo, hi int, f func(key int64)) {
 			}
 		}
 	}
-}
-
-// ScanDirty implements Table.
-func (d *Dense) ScanDirty(f func(key int64)) { d.scanWords(0, len(d.dirty), f) }
-
-// Subshards implements Table: at most one subshard per bitmap cache
-// line, so disjoint ranges never share a dirty word's line.
-func (d *Dense) Subshards(want int) int {
-	lines := d.dirtyLines()
-	if lines < 1 {
-		lines = 1
-	}
-	if want < 1 {
-		want = 1
-	}
-	if want > lines {
-		return lines
-	}
-	return want
-}
-
-// ScanDirtyRange implements Table: subshard sub of nsub covers the
-// cache-line block [sub·L/nsub, (sub+1)·L/nsub) of the dirty bitmap —
-// contiguous slot ranges, scanned in ascending slot order.
-func (d *Dense) ScanDirtyRange(sub, nsub int, f func(key int64)) {
-	lines := d.dirtyLines()
-	lo := sub * lines / nsub * dirtyWordsPerLine
-	hi := (sub + 1) * lines / nsub * dirtyWordsPerLine
-	if hi > len(d.dirty) {
-		hi = len(d.dirty)
-	}
-	d.scanWords(lo, hi, f)
-}
-
-// DirtyApprox implements Table: a popcount sweep of the bitmap.
-func (d *Dense) DirtyApprox() int {
-	n := 0
-	for w := range d.dirty {
-		n += onesCount32(loadWord(&d.dirty[w]))
-	}
-	return n
 }
 
 // HasDirty implements Table.
@@ -321,13 +246,12 @@ func (d *Dense) Len() int {
 }
 
 // sparseStripes is the fixed stripe count of the sparse layout: a power
-// of two so stripe selection is a mask, and comfortably above the
-// per-worker core cap (8) so any Subshards(want) request partitions
-// stripes evenly enough to balance.
+// of two so stripe selection is a mask.
 const sparseStripes = 32
 
 // Sparse is a map-backed shard for pair-keyed programs, hash-striped so
-// range scans and folds on different stripes never contend. Each stripe
+// the worker's folds and concurrent readers (session lookups call Acc)
+// on different stripes never contend. Each stripe
 // serialises its maps with a mutex; the per-row entries still use the
 // atomic protocol so Drain and FoldDelta interleave correctly with
 // readers once a row pointer is in hand.
@@ -452,39 +376,6 @@ func (s *Sparse) ScanDirty(f func(key int64)) {
 	for i := range s.stripes {
 		s.scanDirtyStripe(&s.stripes[i], f)
 	}
-}
-
-// Subshards implements Table: at most one subshard per stripe.
-func (s *Sparse) Subshards(want int) int {
-	if want < 1 {
-		return 1
-	}
-	if want > sparseStripes {
-		return sparseStripes
-	}
-	return want
-}
-
-// ScanDirtyRange implements Table: subshard sub of nsub covers the
-// stripe block [sub·S/nsub, (sub+1)·S/nsub).
-func (s *Sparse) ScanDirtyRange(sub, nsub int, f func(key int64)) {
-	lo := sub * sparseStripes / nsub
-	hi := (sub + 1) * sparseStripes / nsub
-	for i := lo; i < hi; i++ {
-		s.scanDirtyStripe(&s.stripes[i], f)
-	}
-}
-
-// DirtyApprox implements Table.
-func (s *Sparse) DirtyApprox() int {
-	n := 0
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		n += len(st.dirty)
-		st.mu.Unlock()
-	}
-	return n
 }
 
 // HasDirty implements Table.

@@ -14,7 +14,6 @@ package runtime
 import (
 	"fmt"
 	"io"
-	stdruntime "runtime"
 	"time"
 
 	"powerlog/internal/fault"
@@ -75,23 +74,6 @@ type Config struct {
 	// MRASSP worker may run before blocking on stragglers (default 2).
 	// Other modes ignore it.
 	Staleness int
-
-	// CoresPerWorker is the number of goroutines each MRA worker may use
-	// for its scan/fold/emit pass (intra-worker parallelism, DESIGN.md
-	// §9): the shard is split into per-core subshards and a pass runs
-	// them on a work-stealing pool. Sound for MRA programs by the P1
-	// property — range folds commute, so any interleaving reaches the
-	// same fixpoint. 1 runs the exact single-threaded pass (bit-identical
-	// to the pre-subshard engine); <= 0 selects min(GOMAXPROCS, 8).
-	// Naive mode ignores it.
-	CoresPerWorker int
-
-	// CoresMinKeys gates the parallel pass by drain size: a pass only
-	// fans out when the previous pass drained at least this many keys
-	// (first pass: the seeded dirty count), so small frontiers keep the
-	// cheaper serial path. <= 0 selects the default 1024; tests that must
-	// force the parallel path set 1.
-	CoresMinKeys int
 
 	// CheckInterval is the master's termination-check period (default 1ms).
 	CheckInterval time.Duration
@@ -241,10 +223,6 @@ func (c Config) Validate() error {
 		return &ConfigError{Field: "Staleness",
 			Reason: fmt.Sprintf("negative staleness %d; SSP needs a bound >= 0 (0 selects the default)", c.Staleness)}
 	}
-	if c.CoresPerWorker < 0 {
-		return &ConfigError{Field: "CoresPerWorker",
-			Reason: fmt.Sprintf("negative core count %d; use 0 for the GOMAXPROCS default or a positive count", c.CoresPerWorker)}
-	}
 	if c.MetricsEvery < 0 {
 		return &ConfigError{Field: "MetricsEvery",
 			Reason: fmt.Sprintf("negative dump interval %v; use 0 to disable the periodic dump", c.MetricsEvery)}
@@ -289,15 +267,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Staleness <= 0 {
 		c.Staleness = 2
-	}
-	if c.CoresPerWorker <= 0 {
-		c.CoresPerWorker = stdruntime.GOMAXPROCS(0)
-		if c.CoresPerWorker > 8 {
-			c.CoresPerWorker = 8
-		}
-	}
-	if c.CoresMinKeys <= 0 {
-		c.CoresMinKeys = 1024
 	}
 	if c.CheckInterval <= 0 {
 		c.CheckInterval = time.Millisecond

@@ -577,11 +577,6 @@ func (w *worker) finishFence(e, admit int) {
 	}
 	w.joinDone = e
 	w.joinGate = false
-	if w.scan != nil {
-		// Migration / rollback / replay changed the dirty set out from
-		// under the subshard pool's pacing estimate.
-		w.scan.lastDrained = w.table.DirtyApprox()
-	}
 }
 
 // resetLink clears link j's protocol state after fence e replaced,

@@ -30,8 +30,9 @@ func (w *worker) naivePass() int {
 					yield(k, acc)
 					return true
 				})
-			}, w.emit)
+			}, w.emitFn)
 			if err == nil {
+				w.mergePass()
 				return 0
 			}
 			// A join failure (unexpected) falls through to the closure so
@@ -39,9 +40,10 @@ func (w *worker) naivePass() int {
 		}
 	}
 	w.table.Range(func(k int64, acc float64) bool {
-		w.plan.PropagateFullInto(w.scratch, k, acc, w.emit)
+		w.plan.PropagateFullInto(w.scratch, k, acc, w.emitFn)
 		return true
 	})
+	w.mergePass()
 	return 0
 }
 

@@ -39,18 +39,6 @@ type workerMetrics struct {
 	// markerResends counts EndPhase retransmissions from stalled barrier
 	// or staleness-gate waits ("barrier.marker.resend").
 	markerResends *metrics.Counter
-	// steals counts subshard ranges a scan core took from a sibling's
-	// deque ("scan.steal") — how often the work-stealing pool actually
-	// rebalanced a skewed pass (DESIGN.md §9).
-	steals *metrics.Counter
-	// parallelPasses counts scan passes that fanned out over the core
-	// pool ("scan.parallel.pass"); passes below CoresMinKeys stay serial
-	// and are not counted.
-	parallelPasses *metrics.Counter
-	// subPassUS is the per-subshard scan duration histogram in
-	// microseconds ("scan.subshard.pass_us") — the skew the stealing
-	// deque exists to absorb.
-	subPassUS *metrics.Histogram
 	// stragglerUS is the per-block straggler-wait histogram in
 	// microseconds ("barrier.straggler.wait_us"), one observation per
 	// SSP gate block.
@@ -60,17 +48,19 @@ type workerMetrics struct {
 func newWorkerMetrics(nw int) workerMetrics {
 	reg := metrics.NewRegistry()
 	m := workerMetrics{
-		reg:            reg,
-		flushSize:      make([]*metrics.Histogram, nw),
-		refreshHits:    reg.Counter("sched.refresh.hit"),
-		recvBatches:    reg.Counter("recv.batch"),
-		dupBatches:     reg.Counter("recv.dup.batch"),
-		markerResends:  reg.Counter("barrier.marker.resend"),
-		steals:         reg.Counter("scan.steal"),
-		parallelPasses: reg.Counter("scan.parallel.pass"),
-		subPassUS:      reg.Histogram("scan.subshard.pass_us"),
-		stragglerUS:    reg.Histogram("barrier.straggler.wait_us"),
+		reg:           reg,
+		flushSize:     make([]*metrics.Histogram, nw),
+		refreshHits:   reg.Counter("sched.refresh.hit"),
+		recvBatches:   reg.Counter("recv.batch"),
+		dupBatches:    reg.Counter("recv.dup.batch"),
+		markerResends: reg.Counter("barrier.marker.resend"),
+		stragglerUS:   reg.Histogram("barrier.straggler.wait_us"),
 	}
+	// The intra-worker scan pool that counted parallel passes and deque
+	// steals is gone (DESIGN.md §9); both counters stay registered and
+	// read 0 because perfbench/fixpoint.go still reads them.
+	reg.Counter("scan.parallel.pass")
+	reg.Counter("scan.steal")
 	for j := range m.flushSize {
 		m.flushSize[j] = reg.Histogram(fmt.Sprintf("flush.size.dst%d", j))
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"powerlog/internal/agg"
 	"powerlog/internal/analyzer"
 	"powerlog/internal/compiler"
 	"powerlog/internal/edb"
@@ -13,6 +14,7 @@ import (
 	"powerlog/internal/parser"
 	"powerlog/internal/progs"
 	"powerlog/internal/ref"
+	"powerlog/internal/transport"
 )
 
 var allModes = []Mode{NaiveSync, MRASync, MRAAsync, MRASyncAsync, MRAAAP, MRASSP}
@@ -404,5 +406,138 @@ func TestGraphPartitionCoversAllKeys(t *testing.T) {
 				t.Fatalf("Partition(%d,%d) = %d", k, w, p)
 			}
 		}
+	}
+}
+
+// standaloneWorker builds worker 0 of cfg.Workers (1 when unset) with no
+// running peers and no master, so tests can drive scanPass by hand. In a
+// fleet of one every emit is local and nothing is ever flushed; in a
+// larger one each peer inbox holds 4096 messages, so flushes never
+// block.
+func standaloneWorker(t *testing.T, plan *compiler.Plan, cfg Config) *worker {
+	t.Helper()
+	if cfg.Workers == 0 {
+		cfg.Workers = 1
+	}
+	net := transport.NewChannelNetwork(cfg.Workers, 4096)
+	w := newWorker(0, cfg.withDefaults(), plan, net.Conn(0))
+	t.Cleanup(func() {
+		close(w.out)
+		close(w.outCtrl)
+		<-w.commDone
+	})
+	return w
+}
+
+// TestScanPassSendsEachRemoteKeyOnce: one scan pass sends each remote
+// key at most once. Every remote emit of the pass folds in the
+// pass-long combiner, so the KVs flushed are bounded by the distinct
+// remote out-neighbours of the worker's rows — even under MRA+Async's
+// eager 64-key batches, which would cut a per-emit stream into many
+// messages repeating the same hub keys.
+func TestScanPassSendsEachRemoteKeyOnce(t *testing.T) {
+	g := gen.RMAT(12, 30000, 0, 7)
+	db := edb.NewDB()
+	db.SetGraph("edge", g)
+	plan := compilePlan(t, progs.PageRank, db)
+	w := standaloneWorker(t, plan, Config{
+		Workers: 2, Mode: MRAAsync,
+		Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour,
+	})
+	remote := make(map[int64]bool)
+	emits := 0
+	for _, e := range g.Edges() {
+		if w.owner(int64(e.Src)) == w.id && w.owner(int64(e.Dst)) != w.id {
+			remote[int64(e.Dst)] = true
+			emits++
+		}
+	}
+	w.seed(plan.InitMRA)
+	w.scanPass()
+	w.flushAll()
+	if w.sent == 0 {
+		t.Fatal("the pass sent nothing; the fixture is vacuous")
+	}
+	if w.sent > int64(len(remote)) {
+		t.Fatalf("one pass sent %d KVs for %d distinct remote keys (%d remote edges)", w.sent, len(remote), emits)
+	}
+}
+
+// TestScanPassAllocFree pins the scan hot path at zero allocations: a
+// steady-state pass on worker 0 of 2 — dirty the shard, drain, fold,
+// propagate, combine the remote emits for the whole pass, and hand them
+// to the worker-level buffers when it ends. MRA+Sync's barrier flush
+// policy never flushes on emit, so the pass leaves the combined updates
+// in the peer's buffer; the body discards them where a barrier would
+// send them.
+func TestScanPassAllocFree(t *testing.T) {
+	db := edb.NewDB()
+	db.SetGraph("edge", gen.RMAT(12, 30000, 0, 7))
+	plan := compilePlan(t, progs.PageRank, db)
+	w := standaloneWorker(t, plan, Config{
+		Workers: 2, Mode: MRASync,
+		Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour,
+	})
+	peer := w.bufs[1]
+	pass := func() {
+		for k := int64(w.id); k < int64(plan.N); k += 2 {
+			w.table.FoldDelta(k, 0.125)
+		}
+		w.scanPass()
+	}
+	pass() // warm: grow the drain slices and both combiners
+	if peer.len() == 0 {
+		t.Fatal("the pass buffered no remote updates; the fixture is vacuous")
+	}
+	if w.passBufs[1].len() != 0 {
+		t.Fatal("the pass-long combiner was not drained at the end of the pass")
+	}
+	peer.reset()
+	body := func() {
+		pass()
+		peer.reset()
+	}
+	if allocs := testing.AllocsPerRun(5, body); allocs != 0 {
+		t.Fatalf("scan pass allocates %v/run, want 0", allocs)
+	}
+}
+
+// TestAccSumResyncExact is the satellite regression for the float-drift
+// bug: >1e6 mixed-sign folds next to a 1e15 accumulation round the
+// running accSum in one direction (each small delta loses low bits at
+// ulp 0.125), so the drift grows far past any termination ε. The
+// stats-poll epoch boundary must recompute Σacc exactly.
+func TestAccSumResyncExact(t *testing.T) {
+	db := edb.NewDB()
+	db.SetGraph("edge", gen.RMAT(8, 1200, 0, 17))
+	plan := compilePlan(t, progs.PageRank, db) // sum aggregate, Dense
+	w := standaloneWorker(t, plan, Config{
+		Mode: MRAAsync, Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour,
+	})
+	fold := func(k int64, v float64) {
+		_, change, signed := w.table.FoldAcc(k, v)
+		w.accDelta += change
+		w.accSum += signed
+		w.accFolds++
+	}
+	fold(0, 1e15)
+	for i := 0; i < 600_000; i++ { // 1.2e6 folds > accResyncFolds
+		fold(1, 0.7)
+		fold(1, -0.3)
+	}
+	exact := w.table.Acc(0) + w.table.Acc(1)
+	drift := agg.Abs(w.accSum - exact)
+	if drift < 1 {
+		t.Fatalf("fixture did not drift (%v) — the regression test is vacuous", drift)
+	}
+	if w.accFolds < accResyncFolds {
+		t.Fatalf("accFolds = %d, below the resync threshold %d", w.accFolds, accResyncFolds)
+	}
+	w.replyStats(1) // async epoch boundary: must trigger the exact resync
+	if got := agg.Abs(w.accSum - exact); got >= 1e-6 {
+		t.Fatalf("accSum after resync off by %v (was drifting by %v)", got, drift)
+	}
+	if w.accFolds != 0 {
+		t.Fatalf("accFolds not reset after resync: %d", w.accFolds)
 	}
 }

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"powerlog/internal/agg"
 	"powerlog/internal/metrics"
@@ -52,15 +51,11 @@ func (orderedSched) holding() bool     { return false }
 // the local intermediate, accumulating until the worker would otherwise
 // idle; release then lets one pass run unthrottled, and the next
 // productive pass rearms the hold.
-// Its hold() runs inside the scan pass, which may fan out over the
-// per-core subshard pool (subshard.go), so the two flags are atomic:
-// several cores can park deltas concurrently while the owner reads the
-// flags at pass boundaries.
 type priorityHold struct {
 	inner     Scheduler
 	threshold float64
-	off       atomic.Bool // released: let small deltas through
-	held      atomic.Bool // at least one delta is waiting locally
+	off       bool // released: let small deltas through
+	held      bool // at least one delta is waiting locally
 
 	// Per-decision observability (DESIGN.md §8): sched.hold counts
 	// deltas parked below the threshold, sched.release counts the
@@ -72,26 +67,26 @@ func (s *priorityHold) arrange(batch []drained) { s.inner.arrange(batch) }
 func (s *priorityHold) refreshes() bool         { return s.inner.refreshes() }
 
 func (s *priorityHold) hold(v float64) bool {
-	if s.off.Load() || agg.Abs(v) >= s.threshold {
+	if s.off || agg.Abs(v) >= s.threshold {
 		return false
 	}
 	// The caller refolds the delta, which marks the row dirty again;
 	// the held flag keeps the idle detector from treating that as
 	// pending work forever.
-	s.held.Store(true)
+	s.held = true
 	s.holds.Inc()
 	return true
 }
 
 func (s *priorityHold) release() bool {
-	if !s.held.Load() {
+	if !s.held {
 		return false
 	}
-	s.off.Store(true)
-	s.held.Store(false)
+	s.off = true
+	s.held = false
 	s.releases.Inc()
 	return true
 }
 
-func (s *priorityHold) rearm()        { s.off.Store(false) }
-func (s *priorityHold) holding() bool { return s.held.Load() }
+func (s *priorityHold) rearm()        { s.off = false }
+func (s *priorityHold) holding() bool { return s.held }

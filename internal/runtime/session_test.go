@@ -369,34 +369,6 @@ func TestSessionWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSessionCoresPerWorker re-fixpoints with the intra-worker parallel
-// scan forced on (CoresMinKeys=1 fans out even tiny frontiers).
-func TestSessionCoresPerWorker(t *testing.T) {
-	p := sessionProgs[0] // SSSP
-	g := p.g()
-	n := g.NumVertices()
-	edges := append([]graph.Edge(nil), g.Edges()...)
-	cfg := sessCfg(MRASyncAsync)
-	cfg.CoresPerWorker = 4
-	cfg.CoresMinKeys = 1
-	s, err := Open(compilePlan(t, p.src, p.db(g)), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	r := rand.New(rand.NewSource(223))
-	for i := 0; i < 2; i++ {
-		var mut Mutation
-		mut, edges = randMutation(r, edges, n, 10, 10, false, p.insW)
-		res, err := s.Apply(mut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := scratchFixpoint(t, p, n, edges, true, cfg)
-		expectSameFixpoint(t, "cores", res.Values, want, p.ident, p.tol)
-	}
-}
-
 // TestSessionEmptyMutation: an Apply that changes nothing must converge
 // immediately and leave the fixpoint untouched (it still advances the
 // mutation log — the caller said "apply this", and replay must agree).
@@ -543,7 +515,6 @@ func TestConfigValidate(t *testing.T) {
 		field string
 	}{
 		{Config{Staleness: -1}, "Staleness"},
-		{Config{CoresPerWorker: -2}, "CoresPerWorker"},
 		{Config{MetricsEvery: -time.Second}, "MetricsEvery"},
 		{Config{CollectTimeout: -time.Millisecond}, "CollectTimeout"},
 		{Config{MaxWall: -time.Minute}, "MaxWall"},
@@ -570,7 +541,7 @@ func TestConfigValidate(t *testing.T) {
 	if _, err := Run(plan, Config{Staleness: -1}); !errors.As(err, &ce) {
 		t.Errorf("Run with bad config: err = %v", err)
 	}
-	if _, err := Open(plan, Config{CoresPerWorker: -1}); !errors.As(err, &ce) {
+	if _, err := Open(plan, Config{MaxWorkers: -1}); !errors.As(err, &ce) {
 		t.Errorf("Open with bad config: err = %v", err)
 	}
 }

@@ -44,7 +44,13 @@ type worker struct {
 	// updates per key with the program's aggregate before sending — the
 	// sender-side combining that makes a buffered update "accumulate"
 	// rather than queue (Figure 7's Intermediate, applied pre-wire).
-	bufs      []*outBuf
+	bufs []*outBuf
+	// passBufs is the pass-long combiner, one buffer per destination:
+	// remote emits fold here for the whole pass and reach bufs and the
+	// flush policy only when the pass ends (mergePass), so same-key
+	// updates from anywhere in the pass leave as one KV. It is empty
+	// between passes.
+	passBufs  []*outBuf
 	lastFlush []time.Time
 	win       window // traffic window ΔT driving FlushPolicy adaptation
 
@@ -70,17 +76,16 @@ type worker struct {
 	passes     int64   // async compute-loop iterations
 	rounds     int
 
-	// scan is the per-core subshard pool for intra-worker parallel
-	// passes (subshard.go); nil when CoresPerWorker is 1 or the mode is
-	// naive, in which case every pass takes the serial path.
-	scan *scanPool
-
 	// Reused drain-pass storage: a steady-state pass allocates nothing.
 	drainKeys []int64
 	drainBuf  []drained
-	// scratch is this goroutine's propagation-expression buffer
-	// (plan.PropagateInto); scan cores hold their own (coreState).
+	// scratch is the propagation-expression buffer (plan.PropagateInto).
 	scratch []float64
+	// Callbacks bound once to w.collectDirty, w.emit and w.emitMerged: a
+	// method value passed as a func argument allocates a closure at every
+	// use, and emit is passed once per propagated row.
+	collectFn            func(int64)
+	emitFn, emitMergedFn func(int64, float64)
 
 	// control-state set by handle(). peerSteps is the EndPhase vector
 	// clock: peerSteps[j] is the highest completed-superstep count worker
@@ -237,12 +242,11 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 	w.apply = w.table
 	w.scratch = plan.NewScratch()
 	w.bufs = newOutBufs(plan.Op, fleet, w.denseN())
+	w.passBufs = newOutBufs(plan.Op, fleet, w.denseN())
+	w.collectFn, w.emitFn, w.emitMergedFn = w.collectDirty, w.emit, w.emitMerged
 	now := time.Now()
 	for j := range w.lastFlush {
 		w.lastFlush[j] = now
-	}
-	if cfg.CoresPerWorker > 1 && cfg.Mode.MRA() {
-		w.scan = newScanPool(w, cfg.CoresPerWorker, cfg.CoresMinKeys)
 	}
 	go w.commLoop()
 	return w
@@ -707,8 +711,8 @@ func (w *worker) replyStats(round int) {
 }
 
 func (w *worker) buffersEmpty() bool {
-	for _, b := range w.bufs {
-		if b.len() > 0 {
+	for j, b := range w.bufs {
+		if b.len() > 0 || w.passBufs[j].len() > 0 {
 			return false
 		}
 	}
@@ -836,16 +840,10 @@ func (w *worker) drainInbox() bool {
 // loop on the reseeded shard.
 func (w *worker) run() {
 	defer func() {
-		w.scan.close() // nil-safe: park-for-good the subshard cores
 		close(w.out)
 		close(w.outCtrl)
 		<-w.commDone
 	}()
-	if w.scan != nil {
-		// The seeded dirty count stands in for "last pass's drain" on the
-		// first pass, so a big seed fans out immediately.
-		w.scan.lastDrained = w.table.DirtyApprox()
-	}
 	if w.joinGate {
 		// Spawned into a running fixpoint (crash replacement or
 		// scale-out): hold the compute loop until the admission fence
@@ -971,36 +969,18 @@ func (w *worker) parkAndAwait() bool {
 	}
 	w.curEpoch = e + 1
 	w.verdictSet = false
-	if w.scan != nil {
-		// The session reseeded the shard; the new dirty count stands in
-		// for "last pass's drain" exactly like the initial seed.
-		w.scan.lastDrained = w.table.DirtyApprox()
-	}
 	return true
 }
 
 // scanPass is the shared MRA compute body (paper Figure 7): drain a
 // snapshot of dirty keys in the Scheduler's order, fold each delta into
-// its accumulation, and propagate improvements. It returns how many
-// rows produced work. When the worker has a subshard pool and the
-// frontier is large enough to pay for fan-out, the pass runs on P cores
-// (subshard.go); otherwise it takes the serial body below, which is the
-// exact pre-subshard single-threaded path.
+// its accumulation, and propagate improvements. Remote contributions
+// collect in the pass-long combiner until mergePass. It returns how many
+// rows produced work.
 func (w *worker) scanPass() int {
-	if w.scan != nil && w.scan.worthParallel() {
-		return w.scanPassParallel()
-	}
-	return w.scanPassSerial()
-}
-
-func (w *worker) scanPassSerial() int {
 	n := 0
 	refresh := w.pol.sched.refreshes()
-	drained := w.drainSnapshot()
-	if w.scan != nil {
-		w.scan.lastDrained = len(drained)
-	}
-	for _, d := range drained {
+	for _, d := range w.drainSnapshot() {
 		if refresh {
 			w.refresh(&d)
 		}
@@ -1019,9 +999,21 @@ func (w *worker) scanPassSerial() int {
 			continue
 		}
 		n++
-		w.plan.PropagateInto(w.scratch, d.key, d.val, w.emit)
+		w.plan.PropagateInto(w.scratch, d.key, d.val, w.emitFn)
 	}
+	w.mergePass()
 	return n
+}
+
+// mergePass ends a pass: it hands each destination's combined updates to
+// the worker-level buffers and the flush policy, which still cuts them
+// into β-sized batches.
+func (w *worker) mergePass() {
+	for _, b := range w.passBufs {
+		if b.len() > 0 {
+			b.drainInto(w.emitMergedFn)
+		}
+	}
 }
 
 // drained is one key's delta taken from the dirty set this pass.
@@ -1034,11 +1026,10 @@ type drained struct {
 // the Scheduler. The backing storage is reused across passes, so a
 // steady-state pass allocates nothing.
 func (w *worker) drainSnapshot() []drained {
-	keys := w.drainKeys[:0]
-	w.table.ScanDirty(func(k int64) { keys = append(keys, k) })
-	w.drainKeys = keys
+	w.drainKeys = w.drainKeys[:0]
+	w.table.ScanDirty(w.collectFn)
 	out := w.drainBuf[:0]
-	for _, k := range keys {
+	for _, k := range w.drainKeys {
 		if v, ok := w.table.Drain(k); ok {
 			out = append(out, drained{k, v})
 		}
@@ -1047,6 +1038,8 @@ func (w *worker) drainSnapshot() []drained {
 	w.pol.sched.arrange(out)
 	return out
 }
+
+func (w *worker) collectDirty(k int64) { w.drainKeys = append(w.drainKeys, k) }
 
 // refresh folds any delta that arrived since the snapshot into d — under
 // the ordered schedule, a key processed late in the pass picks up the
@@ -1070,16 +1063,25 @@ func (w *worker) shouldPropagate(improved bool, tmp float64) bool {
 }
 
 // emit routes one contribution: local keys fold directly (they join the
-// next pass via the dirty set), remote keys are buffered and flushed
-// when the mode's FlushPolicy — or the BatchMax hard cap — says so.
+// next pass via the dirty set), remote keys fold into the pass-long
+// combiner. Each emit counts toward the β traffic window here, as it
+// happens; the combined update mergePass hands on is not counted again.
 func (w *worker) emit(dst int64, v float64) {
 	o := w.owner(dst)
 	if o == w.id {
 		w.apply.FoldDelta(dst, v)
 		return
 	}
-	w.bufs[o].add(dst, v)
+	w.passBufs[o].add(dst, v)
 	w.win.counts[o]++
+}
+
+// emitMerged adds one remote update to its destination's buffer, which
+// is flushed when the mode's FlushPolicy — or the BatchMax hard cap —
+// says so.
+func (w *worker) emitMerged(dst int64, v float64) {
+	o := w.owner(dst)
+	w.bufs[o].add(dst, v)
 	if w.pol.flush.onEmit(o, w.bufs[o].len(), v) {
 		w.flush(o)
 		return
@@ -1123,7 +1125,7 @@ func (w *worker) idleWait() {
 // key/value arrays hold the batch; an index maps a key to its entry.
 // On a Dense key space (vertex keys fixed in [0, plan.N) at Open) the
 // index is a direct position array, pos[key] — one []int32 of length N
-// shared by every destination buffer of a scan state, which is sound
+// shared by every destination buffer of a set, which is sound
 // because each key has exactly one owner and so lives in at most one of
 // them. Pair-key and elastic fleets use an open-addressed flat
 // combiner instead: a power-of-two slot table of indexes, linear
@@ -1155,10 +1157,10 @@ func newOutBuf(op *agg.Op) *outBuf {
 	}
 }
 
-// newOutBufs builds one combiner per destination for a scan state (the
-// worker's own, or one subshard core's). On a Dense key space they
+// newOutBufs builds one combiner per destination (the worker's flush
+// buffers, or scanPass's pass-long combiner). On a Dense key space they
 // share a single key-indexed position array: 4 bytes per vertex per
-// scan state, not per destination.
+// set, not per destination.
 func newOutBufs(op *agg.Op, dests int, denseN int) []*outBuf {
 	bufs := make([]*outBuf, dests)
 	var pos []int32
@@ -1264,8 +1266,8 @@ func (b *outBuf) take() []transport.KV {
 
 // drainInto hands every buffered (key, value) pair to f in first-touch
 // order and resets the buffer in place. Unlike take it allocates no
-// pooled batch — the per-core merge path (subshard.go) re-emits each
-// pair through the worker-level buffers instead of sending directly.
+// pooled batch — mergePass re-emits each pair of the pass-long combiner
+// through the worker-level buffers instead of sending directly.
 func (b *outBuf) drainInto(f func(key int64, v float64)) {
 	for i, k := range b.keys {
 		f(k, b.vals[i])
